@@ -9,12 +9,13 @@ use rand::Rng;
 use std::fmt::Write as _;
 use vitis::monitor::PubSubStats;
 use vitis::system::{PubSub, SystemParams};
-use vitis::topic::{TopicId, TopicSet};
+use vitis::topic::{RateTable, TopicId, TopicSet};
 use vitis_sim::antientropy::AeConfig;
 use vitis_sim::fault::{FaultEpisode, FaultPlan, LossScope, Span};
 use vitis_sim::rng::{domain, stream_rng};
 use vitis_sim::time::SimTime;
 use vitis_sim::trace::Trace;
+use vitis_workloads::rates::powerlaw_rates;
 
 pub const NODES: usize = 100;
 pub const TOPICS: usize = 12;
@@ -65,6 +66,32 @@ pub fn faulted_params() -> SystemParams {
     p.cfg.publish_ack_timeout = 64;
     p.cfg.max_event_hops = 32;
     p.cfg.gateway_failover = true;
+    p
+}
+
+/// [`golden_params`] with a skewed (power-law, α = 1.5) publication-rate
+/// table, the α-sweep configuration of Figure 7. Equation 1 then sums
+/// unequal rates, so its results depend on the summation order of the
+/// rate-weighted overlap; the `vitis_zipf` golden pins that order.
+pub fn zipf_params() -> SystemParams {
+    let mut p = golden_params();
+    p.rates = RateTable::from_rates(powerlaw_rates(TOPICS, 1.5, SEED));
+    p
+}
+
+/// [`golden_params`] with friends ranked by a pseudo-random key instead of
+/// Equation 1 (the utility-selection ablation).
+pub fn no_utility_params() -> SystemParams {
+    let mut p = golden_params();
+    p.cfg.utility_selection = false;
+    p
+}
+
+/// [`golden_params`] with gateway election off: every subscriber acts as
+/// its own gateway (the gateway-election ablation).
+pub fn no_election_params() -> SystemParams {
+    let mut p = golden_params();
+    p.cfg.gateway_election = false;
     p
 }
 

@@ -28,7 +28,8 @@
 mod common;
 
 use common::{
-    check_golden, faulted_params, golden_params, repair_params, run_repair_scenario, run_scenario,
+    check_golden, faulted_params, golden_params, no_election_params, no_utility_params,
+    repair_params, run_repair_scenario, run_scenario, zipf_params,
 };
 use vitis::system::VitisSystem;
 use vitis_baselines::{OptSystem, RvrSystem};
@@ -100,4 +101,27 @@ fn vitis_repair_fixed_seed_run_is_bit_identical() {
         "repair-enabled run must send digests"
     );
     check_golden("vitis_repair", &got);
+}
+
+/// Skewed publication rates: friend ranking sums unequal rates in
+/// Equation 1, so every utility value (and with it every table choice)
+/// depends on the summation order of the rate-weighted overlap.
+#[test]
+fn vitis_zipf_fixed_seed_run_is_bit_identical() {
+    let mut sys = VitisSystem::new(zipf_params());
+    check_golden("vitis_zipf", &run_scenario(&mut sys));
+}
+
+/// The utility-selection ablation: friends ranked by a pseudo-random key.
+#[test]
+fn vitis_no_utility_fixed_seed_run_is_bit_identical() {
+    let mut sys = VitisSystem::new(no_utility_params());
+    check_golden("vitis_no_utility", &run_scenario(&mut sys));
+}
+
+/// The gateway-election ablation: every subscriber is its own gateway.
+#[test]
+fn vitis_no_election_fixed_seed_run_is_bit_identical() {
+    let mut sys = VitisSystem::new(no_election_params());
+    check_golden("vitis_no_election", &run_scenario(&mut sys));
 }

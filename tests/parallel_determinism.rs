@@ -17,7 +17,8 @@
 mod common;
 
 use common::{
-    check_golden, faulted_params, golden_params, repair_params, run_repair_scenario, run_scenario,
+    check_golden, faulted_params, golden_params, no_election_params, no_utility_params,
+    repair_params, run_repair_scenario, run_scenario, zipf_params,
 };
 use rand::Rng;
 use vitis::conformance::check_pubsub_conformance;
@@ -66,6 +67,29 @@ fn vitis_repair_parallel_run_matches_serial_golden() {
     let mut sys = VitisSystem::new(repair_params());
     sys.set_parallel_rounds(true);
     check_golden("vitis_repair", &run_repair_scenario(&mut sys));
+}
+
+/// The skewed-rate, utility-ablation and election-ablation scenarios
+/// under parallel execution: same bytes as their serial snapshots.
+#[test]
+fn vitis_zipf_parallel_run_matches_serial_golden() {
+    let mut sys = VitisSystem::new(zipf_params());
+    sys.set_parallel_rounds(true);
+    check_golden("vitis_zipf", &run_scenario(&mut sys));
+}
+
+#[test]
+fn vitis_no_utility_parallel_run_matches_serial_golden() {
+    let mut sys = VitisSystem::new(no_utility_params());
+    sys.set_parallel_rounds(true);
+    check_golden("vitis_no_utility", &run_scenario(&mut sys));
+}
+
+#[test]
+fn vitis_no_election_parallel_run_matches_serial_golden() {
+    let mut sys = VitisSystem::new(no_election_params());
+    sys.set_parallel_rounds(true);
+    check_golden("vitis_no_election", &run_scenario(&mut sys));
 }
 
 /// The full pub/sub driver contract holds with parallel rounds on: all
