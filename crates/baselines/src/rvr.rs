@@ -17,11 +17,13 @@ use vitis::monitor::{EventId, HopPath, Monitor};
 use vitis::relay::RelayTable;
 use vitis::smallmap::SmallMap;
 use vitis::topic::{Subs, TopicId};
-use vitis_overlay::entry::{merge_dedup, Entry};
+use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
 use vitis_overlay::peer_sampling::{Newscast, PeerSampling};
 use vitis_overlay::routing::next_hop;
-use vitis_overlay::rt::{build_exchange_buffer, select_neighbors, HybridRt, RtParams};
+use vitis_overlay::rt::{
+    build_exchange_buffer, merge_candidates, select_neighbors, HybridRt, RtParams,
+};
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::prelude::{Context, MsgTag, ParallelProtocol, Protocol, StopReason};
@@ -216,20 +218,18 @@ impl RvrNode {
     }
 
     fn merge_and_select(&mut self, incoming: &[Entry<Subs>], ctx: &mut Context<'_, RvrMsg>) {
-        let mut candidates = self.rt.to_vec();
-        merge_dedup(&mut candidates, incoming);
-        merge_dedup(&mut candidates, self.sampling.sample());
-        // Drop descriptors past the failure-detection threshold; see the
-        // same filter in VitisNode — circulating copies of dead descriptors
-        // otherwise re-enter tables as zombie ring neighbors.
-        candidates.retain(|e| e.age <= self.cfg.age_threshold);
-        let keep_sw: Vec<NodeIdx> = self.rt.sw.iter().map(|e| e.addr).collect();
+        let candidates = merge_candidates(
+            &self.rt,
+            incoming,
+            self.sampling.sample(),
+            self.cfg.age_threshold,
+        );
         self.rt = select_neighbors(
             self.addr,
             self.id,
             &self.rt_params(),
             candidates,
-            &keep_sw,
+            &self.rt.sw,
             &[],
             |_| 0.0,
             ctx.rng,
@@ -426,12 +426,12 @@ impl Protocol for RvrNode {
 
         // T-Man exchange.
         let partner = {
-            let addrs = self.rt.addrs();
-            if addrs.is_empty() {
+            let n = self.rt.len();
+            if n == 0 {
                 self.sampling.sample().first().map(|e| e.addr)
             } else {
                 use rand::Rng;
-                Some(addrs[ctx.rng.gen_range(0..addrs.len())])
+                self.rt.iter().nth(ctx.rng.gen_range(0..n)).map(|e| e.addr)
             }
         };
         if let Some(partner) = partner {
@@ -459,8 +459,8 @@ impl Protocol for RvrNode {
         }
 
         // Heartbeats keep neighbor entries fresh.
-        for nbr in self.rt.addrs() {
-            ctx.send(nbr, RvrMsg::Heartbeat(self.id, self.subs.clone()));
+        for nbr in self.rt.iter() {
+            ctx.send(nbr.addr, RvrMsg::Heartbeat(self.id, self.subs.clone()));
         }
 
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —

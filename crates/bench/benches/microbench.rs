@@ -1,16 +1,20 @@
 //! Microbenchmarks of the hot per-round primitives: the utility function
 //! (Equation 1), subscription-set merges, greedy next-hop choice, Algorithm
-//! 4 neighbor selection, and the workload samplers.
+//! 4 neighbor selection, Algorithm 5 gateway election, and the workload
+//! samplers.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use vitis::topic::{RateTable, TopicSet};
+use std::sync::Arc;
+use vitis::gateway::{elect_gateways, Advert, Proposal, ReverseLink};
+use vitis::smallmap::SmallMap;
+use vitis::topic::{RateTable, Subs, TopicSet};
 use vitis::utility;
 use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
 use vitis_overlay::routing::next_hop;
-use vitis_overlay::rt::{select_neighbors, RtParams};
+use vitis_overlay::rt::{select_neighbors, HybridRt, RtParams};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::stats::Zipf;
 
@@ -88,7 +92,7 @@ fn bench_select_neighbors(c: &mut Criterion) {
                     NodeIdx(u32::MAX),
                     Id(7),
                     &params,
-                    black_box(cands.clone()),
+                    black_box(cands.iter().collect()),
                     &[],
                     &[],
                     |e| utility(&my_subs, &e.payload, &rates),
@@ -98,6 +102,80 @@ fn bench_select_neighbors(c: &mut Criterion) {
         });
     }
     g.finish();
+}
+
+/// One node's election round at the benchmark plans' shape: 25
+/// subscriptions drawn from 60 topics, 15 table entries plus 15 reverse
+/// links, each advertising a proposal for every topic it subscribes to.
+fn bench_gateway_election(c: &mut Criterion) {
+    let mut rng = SmallRng::seed_from_u64(7);
+    let subs_of = |rng: &mut SmallRng| -> Subs { Arc::new(random_set(rng, 60, 25)) };
+    let entry = |rng: &mut SmallRng, i: u32| Entry::fresh(NodeIdx(i), Id(rng.gen()), subs_of(rng));
+    let table = HybridRt {
+        succ: Some(entry(&mut rng, 1)),
+        pred: Some(entry(&mut rng, 2)),
+        sw: vec![entry(&mut rng, 3)],
+        friends: (4..16).map(|i| entry(&mut rng, i)).collect(),
+    };
+    let reverse: SmallMap<NodeIdx, ReverseLink> = (16..31)
+        .map(|i| {
+            let link = ReverseLink {
+                subs: subs_of(&mut rng),
+                age: 0,
+            };
+            (NodeIdx(i), link)
+        })
+        .collect();
+    let interests: Vec<(NodeIdx, Subs)> = table
+        .iter()
+        .map(|e| (e.addr, e.payload.clone()))
+        .chain(reverse.iter().map(|(a, l)| (*a, l.subs.clone())))
+        .collect();
+    let adverts: SmallMap<NodeIdx, Advert> = interests
+        .iter()
+        .map(|(addr, subs)| {
+            let props = subs
+                .iter()
+                .map(|t| {
+                    let gw = rng.gen_range(0..500u32);
+                    let parent = if rng.gen_bool(0.5) {
+                        *addr
+                    } else {
+                        NodeIdx(rng.gen_range(0..40))
+                    };
+                    let p = Proposal {
+                        gw_id: Id::of_node(gw as u64),
+                        gw_addr: NodeIdx(gw),
+                        parent,
+                        hops: rng.gen_range(0..3),
+                    };
+                    (t, p)
+                })
+                .collect();
+            (
+                *addr,
+                Advert {
+                    props: Arc::new(props),
+                    age: 0,
+                },
+            )
+        })
+        .collect();
+    let my_subs = random_set(&mut rng, 60, 25);
+    c.bench_function("gateway_election_30x25", |bench| {
+        bench.iter(|| {
+            elect_gateways(
+                NodeIdx(0),
+                Id(42),
+                black_box(&my_subs),
+                3,
+                black_box(&table),
+                black_box(&reverse),
+                black_box(&adverts),
+                None,
+            )
+        })
+    });
 }
 
 fn bench_zipf(c: &mut Criterion) {
@@ -112,6 +190,7 @@ criterion_group!(
     bench_topicset_ops,
     bench_next_hop,
     bench_select_neighbors,
+    bench_gateway_election,
     bench_zipf
 );
 criterion_main!(benches);

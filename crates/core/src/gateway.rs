@@ -9,8 +9,11 @@
 //! cluster's relay path. Consensus is *not* required: extra gateways cost
 //! some relay traffic but improve robustness and intra-cluster delay.
 
-use crate::topic::TopicId;
+use crate::smallmap::SmallMap;
+use crate::topic::{Subs, TopicId, TopicSet};
+use std::sync::Arc;
 use vitis_overlay::id::Id;
+use vitis_overlay::rt::HybridRt;
 use vitis_sim::event::NodeIdx;
 
 /// A gateway proposal as gossiped inside a cluster.
@@ -39,12 +42,75 @@ impl Proposal {
     }
 }
 
+/// A reverse link: a peer that holds this node in its routing table,
+/// learnt from the peer's heartbeats. Overlay links are connections —
+/// flooding and gateway election must see them from both ends, or
+/// weakly-connected cluster pockets become unreachable.
+pub struct ReverseLink {
+    /// The peer's subscriptions, from its latest heartbeat.
+    pub subs: Subs,
+    /// Rounds since that heartbeat.
+    pub age: u16,
+}
+
+/// A neighbor's latest advertised gateway proposals plus the rounds elapsed
+/// since the advertising heartbeat. The age only matters when gateway
+/// failover is enabled: stale advertisements past the failure-detection
+/// threshold are then excluded from elections, so a silent (crashed, frozen
+/// or partitioned-away) gateway loses its electorate within `age_threshold`
+/// rounds instead of whenever its descriptor finally expires.
+pub struct Advert {
+    /// One proposal per topic, sorted by topic (the order in which a
+    /// node's proposal map iterates).
+    pub props: Arc<Vec<(TopicId, Proposal)>>,
+    /// Rounds since the advertising heartbeat.
+    pub age: u16,
+}
+
+/// One adoption check of Algorithm 5: offer `new`, the proposal neighbor
+/// `nbr` advertised for the topic whose ring id is `target`, to the node's
+/// running proposal `prop`, adopting it if it qualifies. `connected` tests
+/// membership of the node's connection set for the loop-avoidance check.
+#[inline]
+pub fn revise_step(
+    prop: &mut Proposal,
+    self_addr: NodeIdx,
+    target: Id,
+    d_max: u32,
+    nbr: NodeIdx,
+    new: &Proposal,
+    connected: impl Fn(NodeIdx) -> bool,
+) {
+    // Loop avoidance: never adopt a proposal that was itself adopted from
+    // us, and otherwise require the neighbor to be the proposal's
+    // origin-adjacent parent or the parent to be outside our connection set
+    // (Algorithm 5 line 7, plus the self-parent guard the pseudocode leaves
+    // implicit).
+    if new.parent == self_addr || (new.parent != nbr && connected(new.parent)) {
+        return;
+    }
+    let current_dist = target.ring_distance(prop.gw_id);
+    let new_dist = target.ring_distance(new.gw_id);
+    let closer =
+        new_dist < current_dist || (new_dist == current_dist && new.gw_id.0 < prop.gw_id.0);
+    let adopt = (closer && new.hops + 1 < d_max)
+        || (new.gw_addr == prop.gw_addr && new.hops + 1 < prop.hops);
+    if adopt {
+        *prop = Proposal {
+            gw_id: new.gw_id,
+            gw_addr: new.gw_addr,
+            parent: nbr,
+            hops: new.hops + 1,
+        };
+    }
+}
+
 /// One revision step of Algorithm 5 for a single topic.
 ///
-/// `neighbor_proposals` yields, for each routing-table neighbor that is
-/// itself subscribed to `topic`, that neighbor's most recently advertised
-/// proposal. `rt_contains` tests routing-table membership for the
-/// loop-avoidance check.
+/// `neighbor_proposals` yields, for each connected neighbor that is itself
+/// subscribed to `topic`, that neighbor's most recently advertised
+/// proposal, in the order the node walks its connections. `rt_contains`
+/// tests connection-set membership for the loop-avoidance check.
 ///
 /// Returns the revised proposal; `revised.gw_addr == self_addr` means this
 /// node currently considers itself the gateway and must refresh the relay
@@ -63,33 +129,71 @@ where
     let target = topic.ring_id();
     let mut prop = Proposal::self_proposal(self_addr, self_id);
     for (nbr, new) in neighbor_proposals {
-        // Loop avoidance: never adopt a proposal that was itself adopted
-        // from us, and otherwise require the neighbor to be the proposal's
-        // origin-adjacent parent or the parent to be outside our table
-        // (Algorithm 5 line 7, plus the self-parent guard the pseudocode
-        // leaves implicit).
-        if new.parent == self_addr {
-            continue;
-        }
-        if new.parent != nbr && rt_contains(new.parent) {
-            continue;
-        }
-        let current_dist = target.ring_distance(prop.gw_id);
-        let new_dist = target.ring_distance(new.gw_id);
-        let closer = new_dist < current_dist
-            || (new_dist == current_dist && new.gw_id.0 < prop.gw_id.0);
-        let adopt = (closer && new.hops + 1 < d_max)
-            || (new.gw_addr == prop.gw_addr && new.hops + 1 < prop.hops);
-        if adopt {
-            prop = Proposal {
-                gw_id: new.gw_id,
-                gw_addr: new.gw_addr,
-                parent: nbr,
-                hops: new.hops + 1,
-            };
-        }
+        revise_step(&mut prop, self_addr, target, d_max, nbr, new, &rt_contains);
     }
     prop
+}
+
+/// One election round of Algorithm 5 for every subscribed topic at once.
+///
+/// The result equals [`revise_proposal`] run once per topic `t` of `subs`
+/// over `t`'s electorate. That electorate is every connection whose
+/// descriptor subscribes to `t` and whose latest advertisement carries a
+/// proposal for `t` and, when `max_advert_age` is set (gateway failover),
+/// is at most that many rounds old. Connections are walked in a fixed
+/// order: routing-table entries in table order, then reverse links not in
+/// the table, by ascending address.
+///
+/// The connection set is walked once. Each neighbor's topic-sorted
+/// advertisement is merge-joined against `subs`, and every match is one
+/// [`revise_step`] on that topic's entry of the result. The cost is
+/// proportional to the proposals read, not to topics × neighbors.
+#[allow(clippy::too_many_arguments)] // the election inputs are irreducible
+pub fn elect_gateways(
+    self_addr: NodeIdx,
+    self_id: Id,
+    subs: &TopicSet,
+    d_max: u32,
+    table: &HybridRt<Subs>,
+    reverse: &SmallMap<NodeIdx, ReverseLink>,
+    adverts: &SmallMap<NodeIdx, Advert>,
+    max_advert_age: Option<u16>,
+) -> SmallMap<TopicId, Proposal> {
+    let own = Proposal::self_proposal(self_addr, self_id);
+    let mut props: SmallMap<TopicId, Proposal> = subs.iter().map(|t| (t, own)).collect();
+    let connected = |a: NodeIdx| table.contains(a) || reverse.contains_key(&a);
+    let electorate = table.iter().map(|e| (e.addr, &*e.payload)).chain(
+        reverse
+            .iter()
+            .filter(|(a, _)| !table.contains(**a))
+            .map(|(a, l)| (*a, &*l.subs)),
+    );
+    for (nbr, interests) in electorate {
+        let Some(advert) = adverts
+            .get(&nbr)
+            .filter(|ad| max_advert_age.is_none_or(|max| ad.age <= max))
+        else {
+            continue;
+        };
+        let offered = &advert.props[..];
+        debug_assert!(
+            offered.windows(2).all(|w| w[0].0 < w[1].0),
+            "unsorted advert"
+        );
+        let mut j = 0;
+        for (&topic, prop) in props.iter_mut() {
+            while offered.get(j).is_some_and(|(t, _)| *t < topic) {
+                j += 1;
+            }
+            let Some((t, new)) = offered.get(j) else {
+                break;
+            };
+            if *t == topic && interests.contains(topic) {
+                revise_step(prop, self_addr, topic.ring_id(), d_max, nbr, new, connected);
+            }
+        }
+    }
+    props
 }
 
 #[cfg(test)]

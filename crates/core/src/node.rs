@@ -4,7 +4,7 @@
 //! dissemination.
 
 use crate::config::{SamplingService, VitisConfig};
-use crate::gateway::{revise_proposal, Proposal};
+use crate::gateway::{elect_gateways, Advert, Proposal, ReverseLink};
 use crate::monitor::{EventId, HopPath, Monitor};
 use crate::msg::{wire, Notification, ProfileMsg, VitisMsg};
 use crate::relay::RelayTable;
@@ -13,33 +13,18 @@ use crate::topic::{RateTable, Subs, TopicId};
 use crate::utility::utility;
 use std::collections::HashSet;
 use std::sync::Arc;
-use vitis_overlay::entry::{merge_dedup, Entry};
+use vitis_overlay::entry::Entry;
 use vitis_overlay::estimate::SizeEstimator;
 use vitis_overlay::id::Id;
 use vitis_overlay::peer_sampling::{Cyclon, Newscast, PeerSampling};
 use vitis_overlay::routing::next_hop;
-use vitis_overlay::rt::{build_exchange_buffer, select_neighbors, HybridRt, RtParams};
+use vitis_overlay::rt::{
+    build_exchange_buffer, merge_candidates, select_neighbors, HybridRt, RtParams,
+};
 use vitis_sim::antientropy::{self, AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::prelude::{Context, MsgTag, ParallelProtocol, Protocol, StopReason};
 use vitis_sim::rng::mix64;
-
-/// State of a reverse link (a neighbor relationship initiated by the peer).
-struct ReverseLink {
-    subs: Subs,
-    age: u16,
-}
-
-/// A neighbor's latest advertised gateway proposals plus the rounds elapsed
-/// since the advertising heartbeat. The age only matters when gateway
-/// failover is enabled: stale advertisements past the failure-detection
-/// threshold are then excluded from elections, so a silent (crashed, frozen
-/// or partitioned-away) gateway loses its electorate within `age_threshold`
-/// rounds instead of whenever its descriptor finally expires.
-struct NbrProposals {
-    props: Arc<Vec<(TopicId, Proposal)>>,
-    age: u16,
-}
 
 /// A Vitis peer. Construct with [`VitisNode::new`] and hand to the engine;
 /// the [`crate::system::VitisSystem`] wrapper does this for whole networks.
@@ -64,7 +49,7 @@ pub struct VitisNode {
     proposals: SmallMap<TopicId, Proposal>,
     /// Latest proposals advertised by each neighbor (routing-table or
     /// reverse), with staleness for the failover path.
-    nbr_proposals: SmallMap<NodeIdx, NbrProposals>,
+    nbr_proposals: SmallMap<NodeIdx, Advert>,
     /// Reverse links: nodes that hold *us* in their routing table, learned
     /// from their heartbeats. Overlay links are connections — flooding and
     /// gateway election must see them from both ends, or weakly-connected
@@ -208,28 +193,21 @@ impl VitisNode {
     /// Merge a received T-Man buffer with the current table and sampling
     /// list, then re-run Algorithm 4.
     fn merge_and_select(&mut self, incoming: &[Entry<Subs>], ctx: &mut Context<'_, VitisMsg>) {
-        let mut candidates = self.rt.to_vec();
-        merge_dedup(&mut candidates, incoming);
-        merge_dedup(&mut candidates, self.sampling.sample());
-        // Never select descriptors past the failure-detection threshold:
-        // copies of a dead node's descriptor keep circulating in exchange
-        // buffers (their ages grow in lockstep everywhere), and without this
-        // filter they re-enter tables as zombie ring neighbors faster than
-        // per-round expiry can purge them.
-        candidates.retain(|e| e.age <= self.cfg.age_threshold);
-        let keep_sw: Vec<NodeIdx> = self.rt.sw.iter().map(|e| e.addr).collect();
-        let keep_friends: Vec<NodeIdx> = self.rt.friends.iter().map(|e| e.addr).collect();
+        let candidates = merge_candidates(
+            &self.rt,
+            incoming,
+            self.sampling.sample(),
+            self.cfg.age_threshold,
+        );
         let rt = if self.cfg.utility_selection {
-            let subs = self.subs.clone();
-            let rates = self.rates.clone();
             select_neighbors(
                 self.addr,
                 self.id,
                 &self.rt_params(),
                 candidates,
-                &keep_sw,
-                &keep_friends,
-                |e| utility(&subs, &e.payload, &rates),
+                &self.rt.sw,
+                &self.rt.friends,
+                |e| utility(&self.subs, &e.payload, &self.rates),
                 ctx.rng,
             )
         } else {
@@ -241,7 +219,7 @@ impl VitisNode {
                 self.id,
                 &self.rt_params(),
                 candidates,
-                &keep_sw,
+                &self.rt.sw,
                 &[],
                 |e| mix64(e.addr.0 as u64 ^ salt) as f64,
                 ctx.rng,
@@ -258,56 +236,34 @@ impl VitisNode {
     /// neighbors' latest advertisements (Algorithm 5), then refresh the
     /// relay path wherever this node elects itself.
     fn update_profile(&mut self, ctx: &mut Context<'_, VitisMsg>) {
-        let subs = self.subs.clone();
-        let mut new_props = SmallMap::new();
-        for topic in subs.iter() {
-            let prop = if self.cfg.gateway_election {
-                // Interested neighbors over the *connection* set: our table
-                // entries plus reverse links.
-                let rt_nbrs = self
-                    .rt
-                    .iter()
-                    .filter(|e| e.payload.contains(topic))
-                    .map(|e| e.addr);
-                let rev_nbrs = self
-                    .reverse
-                    .iter()
-                    .filter(|(a, l)| l.subs.contains(topic) && !self.rt.contains(**a))
-                    .map(|(a, _)| *a);
-                // With failover on, advertisements older than the failure-
-                // detection threshold have lost their vote: the advertiser
-                // has gone silent, so whatever gateway it endorsed may be
-                // gone too, and the election re-runs without it.
-                let failover = self.cfg.gateway_failover;
-                let thr = self.cfg.age_threshold;
-                let with_props = rt_nbrs.chain(rev_nbrs).filter_map(|addr| {
-                    self.nbr_proposals
-                        .get(&addr)
-                        .filter(|np| !failover || np.age <= thr)
-                        .and_then(|np| np.props.iter().find(|(t, _)| *t == topic))
-                        .map(|(_, p)| (addr, p))
-                });
-                let rt = &self.rt;
-                let reverse = &self.reverse;
-                revise_proposal(
-                    self.addr,
-                    self.id,
-                    topic,
-                    self.cfg.d_max_hops,
-                    with_props,
-                    |a| rt.contains(a) || reverse.contains_key(&a),
-                )
-            } else {
-                // Ablation: no election — every subscriber acts as its own
-                // gateway, Scribe-style.
-                Proposal::self_proposal(self.addr, self.id)
-            };
+        let props = if self.cfg.gateway_election {
+            // The electorate is the *connection* set: our table entries
+            // plus reverse links. With failover on, advertisements older
+            // than the failure-detection threshold have lost their vote:
+            // the advertiser has gone silent, so whatever gateway it
+            // endorsed may be gone too, and the election re-runs without it.
+            elect_gateways(
+                self.addr,
+                self.id,
+                &self.subs,
+                self.cfg.d_max_hops,
+                &self.rt,
+                &self.reverse,
+                &self.nbr_proposals,
+                self.cfg.gateway_failover.then_some(self.cfg.age_threshold),
+            )
+        } else {
+            // Ablation: no election — every subscriber acts as its own
+            // gateway, Scribe-style.
+            let own = Proposal::self_proposal(self.addr, self.id);
+            self.subs.iter().map(|t| (t, own)).collect()
+        };
+        for (&topic, prop) in &props {
             if prop.gw_addr == self.addr {
                 self.refresh_relay(topic, ctx);
             }
-            new_props.insert(topic, prop);
         }
-        self.proposals = new_props;
+        self.proposals = props;
     }
 
     /// One lookup step from this node toward `hash(topic)`: install the
@@ -692,11 +648,11 @@ impl Protocol for VitisNode {
                 None
             };
             ring_pick.or_else(|| {
-                let addrs = self.rt.addrs();
-                if addrs.is_empty() {
+                let n = self.rt.len();
+                if n == 0 {
                     self.sampling.sample().first().map(|e| e.addr)
                 } else {
-                    Some(addrs[ctx.rng.gen_range(0..addrs.len())])
+                    self.rt.iter().nth(ctx.rng.gen_range(0..n)).map(|e| e.addr)
                 }
             })
         };
@@ -765,9 +721,9 @@ impl Protocol for VitisNode {
             ),
         };
         let pm_bytes = wire::profile_bytes(&pm);
-        for nbr in self.rt.addrs() {
+        for nbr in self.rt.iter() {
             self.monitor.record_control_tx(self.addr, pm_bytes);
-            ctx.send(nbr, VitisMsg::Profile(pm.clone()));
+            ctx.send(nbr.addr, VitisMsg::Profile(pm.clone()));
         }
 
         // 7. Anti-entropy repair: retry outstanding pulls, then gossip a
@@ -843,7 +799,7 @@ impl Protocol for VitisNode {
                 }
                 self.nbr_proposals.insert(
                     from,
-                    NbrProposals {
+                    Advert {
                         props: pm.proposals,
                         age: 0,
                     },

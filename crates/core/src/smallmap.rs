@@ -133,6 +133,11 @@ impl<K: Ord + Copy, V> SmallMap<K, V> {
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.entries.iter_mut().map(|(_, v)| v)
     }
+
+    /// Entries in ascending key order, values mutable.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+        self.entries.iter_mut().map(|(k, v)| (&*k, v))
+    }
 }
 
 impl<'a, K: Ord + Copy, V> IntoIterator for &'a SmallMap<K, V> {
@@ -149,7 +154,10 @@ impl<'a, K: Ord + Copy, V> IntoIterator for &'a SmallMap<K, V> {
 
 impl<K: Ord + Copy, V> FromIterator<(K, V)> for SmallMap<K, V> {
     fn from_iter<T: IntoIterator<Item = (K, V)>>(iter: T) -> Self {
-        let mut m = SmallMap::new();
+        let iter = iter.into_iter();
+        let mut m = SmallMap {
+            entries: Vec::with_capacity(iter.size_hint().0),
+        };
         for (k, v) in iter {
             m.insert(k, v);
         }

@@ -110,34 +110,27 @@ impl TopicSet {
 
     /// Rate-weighted intersection and union masses against `other`:
     /// `(Σ_{t ∈ A∩B} rate(t), Σ_{t ∈ A∪B} rate(t))` in one merge pass.
+    ///
+    /// The merge is branch-free: every step consumes the smaller head (both
+    /// heads on a match), adds its rate to the union, and adds it to the
+    /// intersection only on a match (`+0.0` otherwise, which is exact: both
+    /// masses start at `+0.0` and only grow by non-negative rates, so they
+    /// are never `-0.0`). The rates are added in ascending topic order, so
+    /// both sums are bit-identical to those of a branching ordered merge.
     pub fn weighted_overlap(&self, other: &TopicSet, rates: &RateTable) -> (f64, f64) {
-        let mut i = 0;
-        let mut j = 0;
+        let (a, b) = (&self.topics[..], &other.topics[..]);
+        let (mut i, mut j) = (0, 0);
         let mut inter = 0.0;
         let mut union = 0.0;
-        while i < self.topics.len() && j < other.topics.len() {
-            match self.topics[i].cmp(&other.topics[j]) {
-                std::cmp::Ordering::Less => {
-                    union += rates.rate(TopicId(self.topics[i]));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    union += rates.rate(TopicId(other.topics[j]));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    let r = rates.rate(TopicId(self.topics[i]));
-                    inter += r;
-                    union += r;
-                    i += 1;
-                    j += 1;
-                }
-            }
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            let r = rates.rate(TopicId(x.min(y)));
+            union += r;
+            inter += if x == y { r } else { 0.0 };
+            i += (x <= y) as usize;
+            j += (y <= x) as usize;
         }
-        for &t in &self.topics[i..] {
-            union += rates.rate(TopicId(t));
-        }
-        for &t in &other.topics[j..] {
+        for &t in a[i..].iter().chain(&b[j..]) {
             union += rates.rate(TopicId(t));
         }
         (inter, union)

@@ -35,7 +35,9 @@ pub mod prelude {
     pub use crate::peer_sampling::{Cyclon, Newscast, PeerSampling};
     pub use crate::ring::{find_predecessor, find_successor, ring_accuracy};
     pub use crate::routing::{greedy_walk, next_hop, LookupPath};
-    pub use crate::rt::{build_exchange_buffer, select_neighbors, HybridRt, LinkKind, RtParams};
+    pub use crate::rt::{
+        build_exchange_buffer, merge_candidates, select_neighbors, HybridRt, LinkKind, RtParams,
+    };
     pub use crate::smallworld::{harmonic_distance, select_sw_neighbor};
     pub use crate::tman::{RankFn, TMan};
     pub use crate::view::View;

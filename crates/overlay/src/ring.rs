@@ -11,21 +11,19 @@ use crate::id::Id;
 
 /// Index of the candidate that is the best successor of `self_id`: the one
 /// with the smallest non-zero clockwise distance. Ties (duplicate ids) break
-/// by address for determinism.
-pub fn find_successor<P>(self_id: Id, candidates: &[Entry<P>]) -> Option<usize> {
+/// by address for determinism. Candidates are borrowed descriptors, as in
+/// [`crate::rt::select_neighbors`].
+pub fn find_successor<P>(self_id: Id, candidates: &[&Entry<P>]) -> Option<usize> {
     best_by_distance(candidates, |e| self_id.distance_cw(e.id))
 }
 
 /// Index of the best predecessor of `self_id`: smallest non-zero
 /// counter-clockwise distance.
-pub fn find_predecessor<P>(self_id: Id, candidates: &[Entry<P>]) -> Option<usize> {
+pub fn find_predecessor<P>(self_id: Id, candidates: &[&Entry<P>]) -> Option<usize> {
     best_by_distance(candidates, |e| e.id.distance_cw(self_id))
 }
 
-fn best_by_distance<P>(
-    candidates: &[Entry<P>],
-    dist: impl Fn(&Entry<P>) -> u64,
-) -> Option<usize> {
+fn best_by_distance<P>(candidates: &[&Entry<P>], dist: impl Fn(&Entry<P>) -> u64) -> Option<usize> {
     let mut best: Option<(usize, u64, u32)> = None;
     for (i, e) in candidates.iter().enumerate() {
         let d = dist(e);
@@ -80,28 +78,28 @@ mod tests {
 
     #[test]
     fn successor_is_closest_clockwise() {
-        let cands = [e(1, 50), e(2, 120), e(3, 101)];
+        let cands = [&e(1, 50), &e(2, 120), &e(3, 101)];
         assert_eq!(find_successor(Id(100), &cands), Some(2));
         // Wraps: from 120 the successor among {50, 101} is 50.
-        let cands2 = [e(1, 50), e(3, 101)];
+        let cands2 = [&e(1, 50), &e(3, 101)];
         assert_eq!(find_successor(Id(120), &cands2), Some(0));
     }
 
     #[test]
     fn predecessor_is_closest_counterclockwise() {
-        let cands = [e(1, 50), e(2, 120), e(3, 99)];
+        let cands = [&e(1, 50), &e(2, 120), &e(3, 99)];
         assert_eq!(find_predecessor(Id(100), &cands), Some(2));
         // Wraps: from 40 the predecessor among {50, 120} is 120.
-        let cands2 = [e(1, 50), e(2, 120)];
+        let cands2 = [&e(1, 50), &e(2, 120)];
         assert_eq!(find_predecessor(Id(40), &cands2), Some(1));
     }
 
     #[test]
     fn self_id_is_skipped() {
-        let cands = [e(1, 100), e(2, 101)];
+        let cands = [&e(1, 100), &e(2, 101)];
         assert_eq!(find_successor(Id(100), &cands), Some(1));
         assert_eq!(find_predecessor(Id(101), &cands), Some(0));
-        assert_eq!(find_successor(Id(7), &[e(1, 7)]), None);
+        assert_eq!(find_successor(Id(7), &[&e(1, 7)]), None);
     }
 
     #[test]

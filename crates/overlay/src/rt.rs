@@ -14,7 +14,7 @@
 //! RVR baseline — the same code path serves both systems, which is exactly
 //! the comparability the paper sets up.
 
-use crate::entry::{merge_dedup, remove_addr, Entry};
+use crate::entry::{merge_dedup, Entry};
 use crate::id::Id;
 use crate::ring::{find_predecessor, find_successor};
 use crate::smallworld::select_sw_neighbor;
@@ -137,8 +137,8 @@ impl<P: Clone> HybridRt<P> {
     }
 
     /// `(id, addr)` pairs of every neighbor, for greedy routing.
-    pub fn route_candidates(&self) -> Vec<(Id, NodeIdx)> {
-        self.iter().map(|e| (e.id, e.addr)).collect()
+    pub fn route_candidates(&self) -> impl Iterator<Item = (Id, NodeIdx)> + '_ {
+        self.iter().map(|e| (e.id, e.addr))
     }
 
     /// Addresses of every neighbor.
@@ -220,18 +220,53 @@ impl<P: Clone> HybridRt<P> {
     }
 }
 
+/// The candidate buffer of Algorithm 4, borrowed rather than cloned: the
+/// current table's entries, then `incoming` and `sample` merged in by
+/// address keeping the freshest descriptor (exactly as [`merge_dedup`]
+/// would, so candidate order is the same), minus every descriptor older
+/// than `max_age`.
+///
+/// The age filter keeps selection from re-adopting descriptors past the
+/// failure-detection threshold: copies of a dead node's descriptor keep
+/// circulating in exchange buffers (their ages grow in lockstep
+/// everywhere), and without it they re-enter tables as zombie ring
+/// neighbors faster than per-round expiry can purge them.
+pub fn merge_candidates<'a, P: Clone>(
+    rt: &'a HybridRt<P>,
+    incoming: &'a [Entry<P>],
+    sample: &'a [Entry<P>],
+    max_age: u16,
+) -> Vec<&'a Entry<P>> {
+    let mut buf: Vec<&Entry<P>> = rt.iter().collect();
+    for e in incoming.iter().chain(sample) {
+        match buf.iter_mut().find(|b| b.addr == e.addr) {
+            Some(existing) => {
+                if e.age < existing.age {
+                    *existing = e;
+                }
+            }
+            None => buf.push(e),
+        }
+    }
+    buf.retain(|e| e.age <= max_age);
+    buf
+}
+
 /// The generic `selectNeighbors` of Algorithm 4: given the merged candidate
-/// buffer (own RT ∪ peer's buffer ∪ fresh peer-sampling list), pick the new
-/// routing table — successor, predecessor, `k_sw` small-world links by
-/// harmonic draw, and the highest-utility remainder as friends.
+/// buffer (own RT ∪ peer's buffer ∪ fresh peer-sampling list, see
+/// [`merge_candidates`]), pick the new routing table — successor,
+/// predecessor, `k_sw` small-world links by harmonic draw, and the
+/// highest-utility remainder as friends. Candidates are borrowed; only the
+/// winners are cloned into the new table.
 ///
-/// `keep_sw` lists the addresses of the node's *current* small-world links:
-/// following Symphony, established long-range links are kept while alive and
-/// re-drawn only to fill vacant slots, which keeps the navigable structure
-/// (and the relay paths built over it) stable between rounds. Pass `&[]` to
-/// re-draw every slot.
+/// `keep_sw` holds the node's *current* small-world links: following
+/// Symphony, established long-range links are kept while alive (that is,
+/// while a candidate with the same address remains) and re-drawn only to
+/// fill vacant slots, which keeps the navigable structure (and the relay
+/// paths built over it) stable between rounds. Pass `&[]` to re-draw every
+/// slot.
 ///
-/// `keep_friends` lists the current friend links: they win utility *ties*
+/// `keep_friends` holds the current friend links: they win utility *ties*
 /// against new candidates, so equal-utility clusters keep stable edges
 /// instead of reshuffling every exchange (which would transiently fragment
 /// clusters mid-dissemination). Strictly better candidates still replace
@@ -246,34 +281,34 @@ pub fn select_neighbors<P: Clone, R: Rng>(
     self_addr: NodeIdx,
     self_id: Id,
     params: &RtParams,
-    mut candidates: Vec<Entry<P>>,
-    keep_sw: &[NodeIdx],
-    keep_friends: &[NodeIdx],
+    mut candidates: Vec<&Entry<P>>,
+    keep_sw: &[Entry<P>],
+    keep_friends: &[Entry<P>],
     utility: impl Fn(&Entry<P>) -> f64,
     rng: &mut R,
 ) -> HybridRt<P> {
-    remove_addr(&mut candidates, self_addr);
+    candidates.retain(|e| e.addr != self_addr);
     let mut rt = HybridRt::new();
 
     if let Some(i) = find_successor(self_id, &candidates) {
-        rt.succ = Some(candidates.swap_remove(i));
+        rt.succ = Some(candidates.swap_remove(i).clone());
     }
     if let Some(i) = find_predecessor(self_id, &candidates) {
-        rt.pred = Some(candidates.swap_remove(i));
+        rt.pred = Some(candidates.swap_remove(i).clone());
     }
     // The sw quota can never overflow the table: ring links take priority.
     let sw_budget = params.k_sw.min(params.rt_size.saturating_sub(rt.len()));
-    for &addr in keep_sw {
+    for kept in keep_sw {
         if rt.sw.len() >= sw_budget {
             break;
         }
-        if let Some(i) = candidates.iter().position(|e| e.addr == addr) {
-            rt.sw.push(candidates.swap_remove(i));
+        if let Some(i) = candidates.iter().position(|e| e.addr == kept.addr) {
+            rt.sw.push(candidates.swap_remove(i).clone());
         }
     }
     while rt.sw.len() < sw_budget {
         match select_sw_neighbor(self_id, &candidates, params.est_n, rng) {
-            Some(i) => rt.sw.push(candidates.swap_remove(i)),
+            Some(i) => rt.sw.push(candidates.swap_remove(i).clone()),
             None => break,
         }
     }
@@ -288,7 +323,7 @@ pub fn select_neighbors<P: Clone, R: Rng>(
             .map(|(i, e)| {
                 (
                     utility(e),
-                    !keep_friends.contains(&e.addr),
+                    !keep_friends.iter().any(|f| f.addr == e.addr),
                     rng.gen::<u64>(),
                     i,
                 )
@@ -301,14 +336,9 @@ pub fn select_neighbors<P: Clone, R: Rng>(
                 .then_with(|| a.2.cmp(&b.2))
         });
         ranked.truncate(n_friends);
-        let keep: Vec<usize> = ranked.into_iter().map(|(_, _, _, i)| i).collect();
-        let mut taken: Vec<Entry<P>> = Vec::with_capacity(keep.len());
-        for (i, e) in candidates.into_iter().enumerate() {
-            if keep.contains(&i) {
-                taken.push(e);
-            }
-        }
-        rt.friends = taken;
+        // The winners enter the table in candidate order.
+        ranked.sort_unstable_by_key(|r| r.3);
+        rt.friends = ranked.iter().map(|r| candidates[r.3].clone()).collect();
     }
     rt
 }
@@ -364,7 +394,16 @@ mod tests {
             .map(|i| e(i, (i as u64 + 1) * 500, i as f64))
             .collect();
         let mut rng = SmallRng::seed_from_u64(2);
-        let rt = select_neighbors(NodeIdx(99), self_id, &params(8, 2), cands, &[], &[], |x| x.payload, &mut rng);
+        let rt = select_neighbors(
+            NodeIdx(99),
+            self_id,
+            &params(8, 2),
+            cands.iter().collect(),
+            &[],
+            &[],
+            |x| x.payload,
+            &mut rng,
+        );
         // succ = id 1500 (addr 2), pred = id 500 (addr 0).
         assert_eq!(rt.succ.as_ref().unwrap().id, Id(1500));
         assert_eq!(rt.pred.as_ref().unwrap().id, Id(500));
@@ -388,8 +427,17 @@ mod tests {
     #[test]
     fn selection_excludes_self() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let cands = vec![e(7, 70, 1.0), e(1, 10, 1.0)];
-        let rt = select_neighbors(NodeIdx(7), Id(70), &params(4, 0), cands, &[], &[], |x| x.payload, &mut rng);
+        let cands = [e(7, 70, 1.0), e(1, 10, 1.0)];
+        let rt = select_neighbors(
+            NodeIdx(7),
+            Id(70),
+            &params(4, 0),
+            cands.iter().collect(),
+            &[],
+            &[],
+            |x| x.payload,
+            &mut rng,
+        );
         assert!(!rt.contains(NodeIdx(7)));
         // The self-descriptor is dropped, so only node 1 remains; it fills
         // the successor slot and nothing is left for the predecessor.
@@ -401,7 +449,16 @@ mod tests {
     fn zero_utility_and_full_sw_is_structured_table() {
         let mut rng = SmallRng::seed_from_u64(5);
         let cands: Vec<Entry<f64>> = (0..30).map(|i| e(i, (i as u64) << 40, 0.0)).collect();
-        let rt = select_neighbors(NodeIdx(99), Id(123), &params(8, 6), cands, &[], &[], |_| 0.0, &mut rng);
+        let rt = select_neighbors(
+            NodeIdx(99),
+            Id(123),
+            &params(8, 6),
+            cands.iter().collect(),
+            &[],
+            &[],
+            |_| 0.0,
+            &mut rng,
+        );
         assert!(rt.friends.is_empty());
         assert_eq!(rt.sw.len(), 6);
         assert!(rt.succ.is_some() && rt.pred.is_some());
@@ -411,8 +468,16 @@ mod tests {
     fn aging_refresh_expire_cycle() {
         let mut rng = SmallRng::seed_from_u64(5);
         let cands: Vec<Entry<f64>> = (0..6).map(|i| e(i, (i as u64 + 1) * 100, 1.0)).collect();
-        let mut rt =
-            select_neighbors(NodeIdx(99), Id(250), &params(6, 1), cands, &[], &[], |x| x.payload, &mut rng);
+        let mut rt = select_neighbors(
+            NodeIdx(99),
+            Id(250),
+            &params(6, 1),
+            cands.iter().collect(),
+            &[],
+            &[],
+            |x| x.payload,
+            &mut rng,
+        );
         let n0 = rt.len();
         for _ in 0..3 {
             rt.age_all();

@@ -40,10 +40,11 @@ fn log_mismatch(want: u64, cand: u64) -> f64 {
 /// Pick from `candidates` the best small-world neighbor for `self_id` given
 /// a freshly drawn target distance: the candidate whose clockwise distance
 /// from `self_id` is closest (in log scale) to the draw. Candidates at
-/// distance zero (self) are skipped. Returns the index into `candidates`.
+/// distance zero (self) are skipped. Returns the index into `candidates`
+/// (borrowed descriptors, as in [`crate::rt::select_neighbors`]).
 pub fn select_sw_neighbor<P, R: Rng>(
     self_id: Id,
-    candidates: &[Entry<P>],
+    candidates: &[&Entry<P>],
     est_n: usize,
     rng: &mut R,
 ) -> Option<usize> {
@@ -123,7 +124,7 @@ mod tests {
         let near = entry(1 << 8);
         let far = entry(1 << 56);
         let me = entry(0);
-        let cands = vec![me, near, far];
+        let cands = vec![&me, &near, &far];
         let mut rng = SmallRng::seed_from_u64(1);
         let mut picked_near = 0;
         let mut picked_far = 0;
@@ -144,8 +145,8 @@ mod tests {
     #[test]
     fn select_none_when_only_self() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let cands = vec![entry(0)];
-        assert_eq!(select_sw_neighbor(Id(0), &cands, 100, &mut rng), None);
+        let me = entry(0);
+        assert_eq!(select_sw_neighbor(Id(0), &[&me], 100, &mut rng), None);
         assert_eq!(
             select_sw_neighbor::<(), _>(Id(0), &[], 100, &mut rng),
             None

@@ -103,7 +103,7 @@ proptest! {
         let params = RtParams { rt_size, k_sw, est_n: 1000 };
         let mut rng = SmallRng::seed_from_u64(seed);
         let me = NodeIdx(u32::MAX);
-        let rt = select_neighbors(me, Id(self_id), &params, cands.clone(), &[], &[], |_| 0.0, &mut rng);
+        let rt = select_neighbors(me, Id(self_id), &params, cands.iter().collect(), &[], &[], |_| 0.0, &mut rng);
         prop_assert!(rt.len() <= rt_size);
         prop_assert!(rt.sw.len() <= k_sw);
         prop_assert!(!rt.contains(me));
@@ -122,6 +122,46 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The borrowed candidate merge picks exactly the descriptors, in
+    /// exactly the order, of the owned merge it replaced: table entries,
+    /// then `merge_dedup` of the incoming buffer and the sample (freshest
+    /// copy per address wins in place), then the age filter.
+    #[test]
+    fn merge_candidates_matches_owned_merge(
+        table in proptest::collection::vec((0u32..12, 0u16..8), 0..8),
+        incoming in proptest::collection::vec((0u32..12, 0u16..8), 0..16),
+        sample in proptest::collection::vec((0u32..12, 0u16..8), 0..16),
+        max_age in 0u16..8,
+    ) {
+        // Payloads tag each descriptor with its source and position, so a
+        // wrong pick between equal-address copies cannot go unnoticed.
+        let mk = |src: u32, v: &[(u32, u16)]| -> Vec<Entry<u32>> {
+            v.iter().enumerate().map(|(i, &(addr, age))| Entry {
+                addr: NodeIdx(addr),
+                id: Id(addr as u64 * 1000),
+                age,
+                payload: src * 100 + i as u32,
+            }).collect()
+        };
+        let t = mk(0, &table);
+        let rt = HybridRt {
+            succ: t.first().cloned(),
+            pred: t.get(1).cloned(),
+            sw: t.iter().skip(2).take(2).cloned().collect(),
+            friends: t.iter().skip(4).cloned().collect(),
+        };
+        let (inc, smp) = (mk(1, &incoming), mk(2, &sample));
+        let mut want = rt.to_vec();
+        merge_dedup(&mut want, &inc);
+        merge_dedup(&mut want, &smp);
+        want.retain(|e| e.age <= max_age);
+        let got: Vec<Entry<u32>> = merge_candidates(&rt, &inc, &smp, max_age)
+            .into_iter()
+            .cloned()
+            .collect();
+        prop_assert_eq!(got, want);
     }
 
     /// Harmonic draws stay in `[1, u64::MAX]` for any network size.

@@ -224,7 +224,7 @@ impl<P: Clone> AntiEntropy<P> {
             return None;
         }
         let every = self.cfg.digest_every.max(1) as u64;
-        if round % every != 0 {
+        if !round.is_multiple_of(every) {
             return None;
         }
         let skip = self.cache.len().saturating_sub(self.cfg.digest_entries);

@@ -46,7 +46,6 @@ fn all_lookups_agree_on_the_rendezvous() {
             .expect("alive")
             .routing_table()
             .route_candidates()
-            .into_iter()
             .filter(|(_, a)| engine.is_alive(*a))
             .collect()
     };
